@@ -36,7 +36,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::cerr << "fatal: " << msg << "\n  @ " << file << ":" << line
               << std::endl;
-    std::exit(1);
+    // _Exit, not exit: exit would run ~ThreadPool on the global pool,
+    // whose workers are gone in a forked child and include the calling
+    // thread when the fatal is raised on a worker. std::endl above
+    // already flushed cerr.
+    std::cout.flush();
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

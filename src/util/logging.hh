@@ -5,8 +5,17 @@
  * Two error severities are distinguished, following the gem5 convention:
  *  - panic(): an internal invariant was violated (a library bug); aborts.
  *  - fatal(): the simulation cannot continue due to a user-level error
- *    (bad configuration, invalid arguments); exits with an error code.
+ *    (bad configuration, invalid arguments); flushes the standard
+ *    streams and ends the process with status 1 via std::_Exit.
  * inform() and warn() print status without stopping the program.
+ *
+ * fatal() deliberately runs no static destructors and no atexit
+ * handlers. The process-global ThreadPool may be live when it fires:
+ * in a forked child (a gtest death test) its workers no longer exist,
+ * so joining them crashes or hangs; and a fatal raised on a pool
+ * worker would make that worker join itself. Output written through
+ * std::cout/std::cerr or C stdio is flushed first; other open streams
+ * are not.
  */
 
 #ifndef LT_UTIL_LOGGING_HH
@@ -57,7 +66,10 @@ formatParts(Args &&...args)
 
 /**
  * Report an unrecoverable user-level error (bad config, bad arguments)
- * and exit(1).
+ * on stderr, flush the standard streams, and end the process with
+ * status 1 via std::_Exit, skipping static destructors and atexit
+ * handlers (see the file comment for why). Safe to raise with the
+ * global thread pool live, in a forked child, or on a pool worker.
  */
 #define lt_fatal(...) \
     ::lt::detail::fatalImpl(__FILE__, __LINE__, \

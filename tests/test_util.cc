@@ -1,18 +1,24 @@
 /**
  * @file
- * Unit tests for src/util: stats, units, quantization, tables, RNG.
+ * Unit tests for src/util: stats, units, quantization, tables, RNG,
+ * and the fatal exit path.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "util/fast_rng.hh"
+#include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/quantize.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -387,6 +393,64 @@ TEST(Table, RowCount)
     EXPECT_EQ(t.rowCount(), 0u);
     t.addRow({"x"});
     EXPECT_EQ(t.rowCount(), 1u);
+}
+
+// ---- fatal exit path ----------------------------------------------------
+
+/**
+ * lt_fatal must end the process with status 1 whatever state the global
+ * thread pool is in. Each test pins the pool to 4 threads, so the
+ * workers are real on any host core count and in any test order, and
+ * restores the default pool afterwards.
+ */
+class Logging : public ::testing::Test
+{
+  protected:
+    void SetUp() override { ThreadPool::setGlobalThreads(4); }
+    void TearDown() override { ThreadPool::setGlobalThreads(0); }
+};
+
+TEST_F(Logging, FatalExitsWithStatusOneWhileGlobalPoolIsLive)
+{
+    std::atomic<size_t> shards_run{0};
+    ThreadPool::global().parallelFor(
+        4, [&](size_t, size_t, size_t) { ++shards_run; }, 4);
+    ASSERT_EQ(shards_run.load(), 4u);
+
+    // The death-test child is forked from a process whose pool has
+    // workers; those threads do not exist in the child.
+    EXPECT_EXIT(lt_fatal("bad config with a live pool"),
+                ::testing::ExitedWithCode(1),
+                "fatal: bad config with a live pool");
+}
+
+TEST_F(Logging, FatalRaisedOnPoolWorkerExitsWithStatusOne)
+{
+    // Re-run the test in a fresh child process, so the pool built in
+    // SetUp has running workers there. gtest restores its flags after
+    // every test.
+#ifdef GTEST_FLAG_SET
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> raised{false};
+    auto body = [&](size_t, size_t, size_t shard) {
+        if (std::this_thread::get_id() != caller) {
+            // Exactly one worker raises; the rest return to the pool.
+            if (!raised.exchange(true))
+                lt_fatal("pool worker shard ", shard, " failed");
+            return;
+        }
+        // Park the calling thread in its shard, so the other three
+        // shards must run on workers. If no worker ever raises the
+        // fatal, the statement returns and the death test fails.
+        std::this_thread::sleep_for(std::chrono::seconds(30));
+    };
+    EXPECT_EXIT(ThreadPool::global().parallelFor(4, body, 4),
+                ::testing::ExitedWithCode(1),
+                "fatal: pool worker shard [0-3] failed");
 }
 
 } // namespace
